@@ -288,6 +288,11 @@ class TripleStore:
     def __len__(self) -> int:
         return self._size
 
+    def subject_size(self, subject: Any) -> int:
+        """Number of triples whose subject is *subject* (0 if none)."""
+        by_pred = self._spo.get(_as_subject(subject), {})
+        return sum(len(objs) for objs in by_pred.values())
+
     def __contains__(self, spo: tuple[Any, Any, Any]) -> bool:
         s, p, o = spo
         return any(True for _ in self.match(s, p, o))

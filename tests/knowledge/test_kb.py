@@ -1,11 +1,18 @@
 """Tests for the SCAN knowledge base."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.errors import KnowledgeBaseError
 from repro.desim.rng import RandomStreams
-from repro.knowledge.kb import SCANKnowledgeBase
+from repro.knowledge.kb import SCANKnowledgeBase, ranked_instances_query
 from repro.knowledge.profiles import ProfileObservation
+from repro.ontology.scan_ontology import SCAN, add_application_instance
+from repro.ontology.sparql import SparqlError, execute_query
 
 
 @pytest.fixture
@@ -121,3 +128,129 @@ class TestQueries:
             """
         )
         assert rows == [{"s": 10.0}]
+
+
+def sparql_ranking(kb, app="gatk", lo=0.0, hi=float("inf"), limit=None):
+    """The ranking straight from SPARQL, bypassing views and caches."""
+    text = ranked_instances_query(app, lo, hi, limit)
+    return execute_query(kb.ontology.store, text, cache=False)
+
+
+_TIE_SCRIPT = """
+from repro.knowledge.kb import SCANKnowledgeBase
+from repro.knowledge.profiles import ProfileObservation
+kb = SCANKnowledgeBase()
+for _ in range(6):
+    kb.record_observation(ProfileObservation(
+        app="gatk", stage=0, input_gb=5.0, threads=1, execution_time=10.0))
+print(",".join(r["instance"].local_name for r in kb.ranked_instances("gatk", limit=3)))
+"""
+
+
+class TestRankedView:
+    def test_tie_order_is_independent_of_hash_seed(self):
+        """Tied rows rank by instance IRI, not by the interpreter's hash salt."""
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=src_dir, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", _TIE_SCRIPT],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs.add(proc.stdout.strip())
+        assert outputs == {"GATK1,GATK2,GATK3"}
+
+    def test_view_answers_without_sparql_until_a_foreign_write(self, kb, monkeypatch):
+        texts = []
+        real_query = kb.query
+        monkeypatch.setattr(
+            kb, "query", lambda text: texts.append(text) or real_query(text)
+        )
+        kb.record_observation(observation())
+        kb.ranked_instances("gatk")
+        assert len(texts) == 1
+
+        for i in range(500):
+            kb.record_observation(
+                observation(size=float(i % 9 + 1), time=float(i % 37))
+            )
+            kb.ranked_instances("gatk", limit=50)
+        assert len(texts) == 1
+        assert kb.ranked_instances("gatk") == sparql_ranking(kb)
+
+        add_application_instance(
+            kb.ontology, "HANDMADE1", app_name="gatk",
+            input_file_size=0.5, e_time=0.0, cpu=4, ram=2.0,
+        )
+        first = kb.ranked_instances("gatk", limit=5)
+        kb.ranked_instances("gatk", min_size_gb=3.0)
+        assert len(texts) == 2
+        assert first[0]["instance"] == SCAN["HANDMADE1"]
+        assert first == sparql_ranking(kb, limit=5)
+
+    def test_foreign_write_before_a_recorded_one_is_not_lost(self, kb):
+        kb.record_observation(observation(time=3.0))
+        kb.ranked_instances("gatk")
+        add_application_instance(
+            kb.ontology, "HANDMADE1", app_name="gatk",
+            input_file_size=1.0, e_time=9.0, cpu=2, ram=1.0,
+        )
+        kb.record_observation(observation(time=1.0))
+        rows = kb.ranked_instances("gatk")
+        assert [r["instance"].local_name for r in rows] == ["GATK2", "GATK1", "HANDMADE1"]
+
+    def test_name_collision_rebuilds_from_sparql(self, kb):
+        kb.record_observation(observation(time=3.0))
+        kb.ranked_instances("gatk")
+        add_application_instance(
+            kb.ontology, "GATK2", app_name="gatk",
+            input_file_size=1.0, e_time=9.0, cpu=2, ram=1.0,
+        )
+        kb.ranked_instances("gatk")
+        kb.record_observation(observation(time=1.0))  # lands on GATK2 too
+        rows = kb.ranked_instances("gatk")
+        assert rows == sparql_ranking(kb)
+        # two values for each of size, etime, cpu and ram: 2**4 rows
+        assert sum(r["instance"] == SCAN["GATK2"] for r in rows) == 16
+
+    def test_removed_triple_drops_the_instance(self, kb):
+        for time in (1.0, 2.0, 3.0):
+            kb.record_observation(observation(time=time))
+        kb.ranked_instances("gatk")
+        kb.ontology.store.remove(SCAN["GATK2"], SCAN["eTime"], 2.0)
+        rows = kb.ranked_instances("gatk")
+        assert [r["instance"].local_name for r in rows] == ["GATK1", "GATK3"]
+
+    def test_nan_execution_time_matches_sparql(self, kb):
+        """NaN keys have no place in the order; the view defers to SPARQL."""
+        nan = float("nan")
+        kb.record_observation(observation(time=2.5))
+        kb.ranked_instances("gatk")
+        for time in (nan, 2.0, 4.0, 4.0, nan, 2.0, 3.0, 2.0):
+            kb.record_observation(observation(time=time))
+            assert kb.ranked_instances("gatk") == sparql_ranking(kb)
+
+    def test_inserted_row_carries_the_stored_values(self, kb):
+        kb.ranked_instances("gatk")
+        kb.record_observation(ProfileObservation(
+            app="gatk", stage=0, input_gb=3, threads=1, execution_time=7,
+            cpu=True, ram_gb=2,
+        ))
+        rows = kb.ranked_instances("gatk")
+        assert repr(rows) == repr(sparql_ranking(kb))
+        assert [type(rows[0][k]) for k in ("size", "etime", "cpu", "ram")] == [
+            float, float, int, float,
+        ]
+
+    def test_rows_are_copies(self, kb):
+        kb.record_observation(observation())
+        kb.ranked_instances("gatk")[0]["size"] = -1.0
+        assert kb.ranked_instances("gatk")[0]["size"] == 5.0
+
+    def test_negative_limit_rejected_like_the_query(self, kb):
+        kb.record_observation(observation())
+        with pytest.raises(SparqlError):
+            kb.ranked_instances("gatk", limit=-1)
+        with pytest.raises(SparqlError):
+            sparql_ranking(kb, limit=-1)

@@ -103,3 +103,22 @@ class TestSaveLoad:
         assert not kb2.has_profile("gatk")
         # Counter respects the hand-chosen suffix.
         assert kb2.record_observation(observation()) == "GATK10"
+
+    def test_name_collision_loads_without_a_merged_profile_point(self, tmp_path):
+        """A recorded run that landed on a hand-authored name carries two
+        values per field; it loads, yields no profile point, and still
+        advances the naming counter."""
+        from repro.ontology.scan_ontology import add_application_instance
+
+        kb = PersistentKnowledgeBase()
+        add_application_instance(
+            kb.ontology, "GATK2", app_name="gatk", input_file_size=1,
+            e_time=9, cpu=2, ram=1,
+        )
+        kb.record_observation(observation(time=1.0))
+        assert kb.record_observation(observation(time=2.0)) == "GATK2"
+        path = tmp_path / "kb.ttl"
+        kb.save(path)
+        kb2 = PersistentKnowledgeBase.load(path)
+        assert len(kb2.profile("gatk")) == 1
+        assert kb2.record_observation(observation()) == "GATK3"
